@@ -1,0 +1,40 @@
+#!/usr/bin/env python3
+"""Builds the perfbench package and runs one benchmark workload.
+
+Usage, from the repository root:
+
+    python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>
+
+The build goes to $CARGO_TARGET_DIR (default `.bench_build`); its output
+goes to standard error, so the last line of standard output is the
+benchmark's JSON result. Exits non-zero, printing no result, when the
+build or the run fails.
+"""
+
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def main():
+    target = os.environ.get("CARGO_TARGET_DIR") or ".bench_build"
+    env = dict(os.environ, CARGO_TARGET_DIR=target)
+    build = subprocess.run(
+        [
+            "cargo", "build", "--release", "--offline", "--quiet", "--bins",
+            "--manifest-path", os.path.join(HERE, "Cargo.toml"),
+        ],
+        env=env,
+        stdout=sys.stderr,
+    )
+    if build.returncode != 0:
+        print("perfbench: build failed", file=sys.stderr)
+        return 1
+    exe = os.path.join(target, "release", "perfbench")
+    return subprocess.run([exe] + sys.argv[1:], env=env).returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main())
