@@ -56,7 +56,9 @@ pub use net::Link;
 pub use phases::{run_phases, Phase};
 pub use pool::{ClusterSpec, ServerPool};
 pub use supervise::{BackoffPolicy, LinkStats, Reassembly, SupervisedLink};
-pub use transport::{ChannelTransport, FaultPlan, FaultyTransport, TcpTransport, Transport};
+pub use transport::{
+    ChannelTransport, FaultPlan, FaultyTransport, ReaderHandoff, TcpTransport, Transport, Wake,
+};
 pub use wire::{
     decode_data_batch, encode_data_batch, DataMsg, Frame, FrameKind, Hello, RejectReason,
     MAX_FRAME, WIRE_VERSION,

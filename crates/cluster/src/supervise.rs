@@ -302,38 +302,34 @@ impl SupervisedLink {
         }
     }
 
-    /// Receives one frame. `DataAck`s are consumed internally (they
-    /// advance the resend window); `Reject`s are counted and
-    /// surfaced. A link error triggers one reconnect attempt and
-    /// reads as quiet (`Ok(None)`) for that round.
-    pub fn recv(&mut self) -> io::Result<Option<Frame>> {
-        let result = match self.ensure_connected() {
-            Ok(conn) => conn.recv(),
-            Err(e) => return Err(e),
-        };
-        match result {
-            Ok(Some(frame)) if frame.kind == FrameKind::DataAck => {
-                let seq = decode_ack(&frame.payload)?;
-                if seq > self.acked {
-                    self.acked = seq;
-                    self.last_progress = Instant::now();
-                    while self.unacked.front().is_some_and(|(s, _)| *s <= seq) {
-                        self.unacked.pop_front();
+    /// Receives a frame that has already arrived, or `Ok(None)` at
+    /// once. `DataAck`s are consumed internally (they advance the
+    /// resend window) and the receive goes on past them; `Reject`s are
+    /// counted and surfaced. A link error triggers one reconnect
+    /// attempt and reads as quiet (`Ok(None)`) for that round.
+    pub fn try_recv(&mut self) -> io::Result<Option<Frame>> {
+        loop {
+            let result = self.ensure_connected()?.try_recv();
+            match result {
+                Ok(Some(frame)) if frame.kind == FrameKind::DataAck => {
+                    let seq = decode_ack(&frame.payload)?;
+                    if seq > self.acked {
+                        self.acked = seq;
+                        self.last_progress = Instant::now();
+                        while self.unacked.front().is_some_and(|(s, _)| *s <= seq) {
+                            self.unacked.pop_front();
+                        }
                     }
                 }
-                Ok(None)
-            }
-            Ok(Some(frame)) if frame.kind == FrameKind::Reject => {
-                self.stats.rejections.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(frame))
-            }
-            Ok(other) => Ok(other),
-            Err(_) => {
-                self.sever();
-                // Quietly reconnect; the replay repairs lost frames.
-                match self.ensure_connected() {
-                    Ok(_) => Ok(None),
-                    Err(e) => Err(e),
+                Ok(Some(frame)) if frame.kind == FrameKind::Reject => {
+                    self.stats.rejections.fetch_add(1, Ordering::Relaxed);
+                    return Ok(Some(frame));
+                }
+                Ok(other) => return Ok(other),
+                Err(_) => {
+                    self.sever();
+                    // Quietly reconnect; the replay repairs lost frames.
+                    return self.ensure_connected().map(|_| None);
                 }
             }
         }
@@ -573,7 +569,7 @@ mod tests {
         b.send(&Frame::new(FrameKind::DataAck, crate::wire::encode_ack(3)))
             .unwrap();
         while link.unacked_len() > 1 {
-            assert!(link.recv().unwrap().is_none());
+            assert!(link.try_recv().unwrap().is_none());
         }
         assert_eq!(link.unacked_len(), 1);
         // Now stall: no more acks → maybe_resend replays frame 4.
@@ -591,7 +587,7 @@ mod tests {
         link.send(data_frame(0)).unwrap();
         b.send(&Frame::reject(crate::wire::RejectReason::RateLimited))
             .unwrap();
-        let got = link.recv().unwrap().unwrap();
+        let got = link.try_recv().unwrap().unwrap();
         assert_eq!(got.kind, FrameKind::Reject);
         assert_eq!(stats.rejections.load(Ordering::Relaxed), 1);
     }

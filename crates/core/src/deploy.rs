@@ -168,7 +168,7 @@ use privapprox_store::wal::DEFAULT_SEGMENT_BYTES;
 use privapprox_cluster::wire::{decode_data_batch, decode_progress, DataMsg};
 use privapprox_cluster::{
     DeploymentShape, FaultPlan, Frame, FrameKind, Heartbeat, HeartbeatStatus, LinkStats,
-    SupervisedLink, Watchdog,
+    SupervisedLink, Wake, Watchdog,
 };
 use privapprox_rr::estimate::BucketEstimator;
 use privapprox_rr::privacy::epsilon_zk;
@@ -222,14 +222,15 @@ const WORKER_IDLE_BEAT: Duration = Duration::from_millis(250);
 /// batch wider than the capacity can never publish.
 const WORKER_FLUSH_RUN: usize = 64;
 
-/// Park granularity of a free-running shard thread between control
-/// checks (condvar park inside `pump_blocking_with`; close commands
-/// additionally wake the park through the broker so command latency
-/// is a wakeup, not a timeout).
+/// Park granularity of a free-running shard thread or remote shard
+/// bridge between control checks (condvar park inside
+/// `pump_blocking_with` or `park_since`; close commands additionally
+/// wake the park through the broker so command latency is a wakeup,
+/// not a timeout). It is the tick of epoch deadlines.
 const SHARD_PARK: Duration = Duration::from_millis(10);
 
-/// Park granularity of a free-running proxy thread (shutdown latency
-/// bound; data wakes the park immediately).
+/// Park granularity of a free-running proxy thread or remote proxy
+/// bridge (shutdown latency bound; data wakes the park immediately).
 const PROXY_PARK: Duration = Duration::from_millis(50);
 
 /// CPU time consumed by the calling thread so far (Linux:
@@ -972,6 +973,7 @@ impl ShardedSystemBuilder {
                         faults,
                         Arc::clone(&stats),
                         link_seed(c.seed, "proxy", i),
+                        ring_topic(&broker, &inbound_topic(ProxyId(i as u16))),
                     );
                     if let Some(after) = c.link_resend_after {
                         link.set_resend_after(after);
@@ -1012,6 +1014,7 @@ impl ShardedSystemBuilder {
                         faults,
                         Arc::clone(&stats),
                         link_seed(c.seed, "shard", s),
+                        ring_topic(&broker, &shard_park_topic()),
                     );
                     if let Some(after) = c.link_resend_after {
                         link.set_resend_after(after);
@@ -1026,6 +1029,7 @@ impl ShardedSystemBuilder {
                         ledger: Arc::clone(&ledger),
                         crashes: Arc::clone(&crashes),
                         heartbeat: watchdog.register(&format!("shard-{s}")),
+                        bell: broker.writer(&shard_park_topic()),
                     }));
                 }
                 (proxy_threads, shard_threads)
@@ -1120,11 +1124,15 @@ enum LoadCmd {
 /// worker's was; without it a respawned client would re-issue its
 /// past MIDs, and the aggregator's duplicate defence would silently
 /// swallow its next epoch's answers.
+///
+/// Answers share the registered query (`Arc`): at 10⁴ buckets a copy
+/// is ~320 KB of bucket rules, and the history holds one entry per
+/// epoch for the deployment's lifetime.
 #[derive(Clone)]
 enum ReplayCmd {
     Load(LoadCmd),
     Answer {
-        query: Query,
+        query: Arc<Query>,
         params: ExecutionParams,
         ts: Timestamp,
     },
@@ -1133,7 +1141,7 @@ enum ReplayCmd {
 enum WorkerCmd {
     Load(LoadCmd),
     Answer {
-        query: Query,
+        query: Arc<Query>,
         params: ExecutionParams,
         ts: Timestamp,
         /// `false` on a respawn's muted history replay: answer (to
@@ -1603,7 +1611,7 @@ struct CloseCmd {
 
 enum ShardCmd {
     Register {
-        query: Box<Query>,
+        query: Arc<Query>,
         params: ExecutionParams,
         population: u64,
         /// Keep this query's decoded answers for batch queries
@@ -1803,7 +1811,7 @@ impl ShardHandle {
                             // their own close checks re-read the
                             // ledger at wakeup latency instead of
                             // park-timeout latency.
-                            broker.notify_topic(&outbound_topic(ProxyId(0)));
+                            broker.notify_topic(&shard_park_topic());
                             continue 'run;
                         }
                     }
@@ -1869,6 +1877,19 @@ impl ShardHandle {
 // `ProxyHandle` atomics / `ShardCmd` channels) on the other — so the
 // main thread's epoch, supervision and respawn machinery is shared
 // verbatim between the two transports.
+
+/// The topic shard threads and remote shard bridges park on: the
+/// first subscription of their `"aggregator"` consumer.
+fn shard_park_topic() -> String {
+    outbound_topic(ProxyId(0))
+}
+
+/// A link wake ([`remote::node_link`]) that rings `topic`, the topic
+/// the link's bridge parks on.
+fn ring_topic(broker: &Broker, topic: &str) -> Wake {
+    let bell = broker.writer(topic);
+    Arc::new(move || bell.notify())
+}
 
 /// Deterministic per-link jitter seed: deployment seed × role × slot,
 /// so backoff schedules are stable run to run and distinct link to
@@ -2001,6 +2022,9 @@ impl ProxyHandle {
             .spawn(move || {
                 let _child = child;
                 let out_writer = broker.writer(&outbound_topic(ProxyId(index as u16)));
+                // Shard bridges park on the first outbound topic only;
+                // shares landing on any other must ring it too.
+                let shard_bell = (index != 0).then(|| broker.writer(&shard_park_topic()));
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     let mut batch: Vec<(u32, u32, Record)> = Vec::new();
                     let mut msgs: Vec<DataMsg> = Vec::new();
@@ -2010,12 +2034,17 @@ impl ProxyHandle {
                         // last poll + drain runs after it is raised.
                         let stopping = stop2.load(Ordering::Relaxed);
                         heartbeat.beat();
+                        // Taken before looking for work: a ring after
+                        // this point ends the park below at once.
+                        let ticket = consumer.wake_ticket();
                         let t0 = thread_busy_time();
+                        let mut idle = true;
                         // 1. Ship produced shares to the child.
                         loop {
                             if consumer.poll_into(remote::BATCH_RECORDS, &mut batch) == 0 {
                                 break;
                             }
+                            idle = false;
                             msgs.clear();
                             for (stream, partition, rec) in batch.drain(..) {
                                 msgs.push(remote::record_to_msg(stream, partition, &rec));
@@ -2024,27 +2053,33 @@ impl ProxyHandle {
                                 panic!("proxy {index} link: {e}");
                             }
                         }
-                        // 2. Land relayed shares coming back. The
-                        //    socket read poll doubles as the idle
-                        //    park.
+                        // 2. Land the relayed shares the link's reader
+                        //    thread has handed over.
+                        let mut landed = 0u64;
                         loop {
-                            match link.recv() {
+                            match link.try_recv() {
                                 Ok(Some(f)) if f.kind == FrameKind::Data => {
                                     inbound.clear();
                                     if let Err(e) = decode_data_batch(&f.payload, &mut inbound) {
                                         panic!("proxy {index} link: {e}");
                                     }
-                                    let n = inbound.len() as u64;
+                                    landed += inbound.len() as u64;
                                     for m in inbound.drain(..) {
                                         deliver_share(&out_writer, m, &bp2);
                                     }
-                                    out_writer.notify();
-                                    forwarded2.fetch_add(n, Ordering::Relaxed);
                                 }
                                 Ok(Some(_)) => {}
                                 Ok(None) => break,
                                 Err(e) => panic!("proxy {index} link: {e}"),
                             }
+                        }
+                        if landed > 0 {
+                            idle = false;
+                            out_writer.notify();
+                            if let Some(bell) = &shard_bell {
+                                bell.notify();
+                            }
+                            forwarded2.fetch_add(landed, Ordering::Relaxed);
                         }
                         if let Err(e) = link.maybe_resend() {
                             panic!("proxy {index} link: {e}");
@@ -2057,6 +2092,14 @@ impl ProxyHandle {
                             let _ = link.send(Frame::bare(FrameKind::Shutdown));
                             let _ = link.flush();
                             break;
+                        }
+                        // 3. Nothing to do: park on the inbound topic,
+                        //    which both the workers and the link
+                        //    reader ring, as long as the in-process
+                        //    relay would (resends and the stop flag
+                        //    are the only timers).
+                        if idle {
+                            consumer.park_since(ticket, PROXY_PARK);
                         }
                     }
                 }));
@@ -2095,6 +2138,9 @@ struct RemoteShardSpawn {
     ledger: Arc<EpochLedger>,
     crashes: CrashLog,
     heartbeat: Heartbeat,
+    /// Rings [`shard_park_topic`], the condvar every shard bridge
+    /// parks on.
+    bell: TopicWriter,
 }
 
 impl ShardHandle {
@@ -2116,6 +2162,7 @@ impl ShardHandle {
             ledger,
             crashes,
             heartbeat,
+            bell,
         } = spec;
         let (cmd_tx, cmd_rx) = channel::<ShardCmd>();
         let (reply_tx, reply_rx) = channel::<ShardReply>();
@@ -2141,9 +2188,17 @@ impl ShardHandle {
                     };
                     'run: loop {
                         heartbeat.beat();
+                        // Taken before looking for work: a ring after
+                        // this point ends the park below at once.
+                        let ticket = consumer.wake_ticket();
+                        let mut idle = true;
                         // 1. Absorb control commands.
                         loop {
-                            match cmd_rx.try_recv() {
+                            let cmd = cmd_rx.try_recv();
+                            if cmd.is_ok() {
+                                idle = false;
+                            }
+                            match cmd {
                                 Ok(ShardCmd::Register {
                                     query,
                                     params,
@@ -2196,6 +2251,7 @@ impl ShardHandle {
                                         remote::encode_finish(c.epoch.0, c.watermark.0),
                                     );
                                     awaiting = Some(c.epoch.0);
+                                    idle = false;
                                 }
                             }
                         }
@@ -2204,6 +2260,7 @@ impl ShardHandle {
                             if consumer.poll_into(remote::BATCH_RECORDS, &mut batch) == 0 {
                                 break;
                             }
+                            idle = false;
                             msgs.clear();
                             for (stream, partition, rec) in batch.drain(..) {
                                 msgs.push(remote::record_to_msg(stream, partition, &rec));
@@ -2212,13 +2269,21 @@ impl ShardHandle {
                                 panic!("shard {index} link: {e}");
                             }
                         }
-                        // 4. Drain the child's frames (the socket read
-                        //    poll doubles as the idle park).
+                        // 4. Handle the child's frames the link's reader
+                        //    thread has handed over.
+                        let mut progressed = false;
                         loop {
-                            match link.recv() {
+                            let frame = link.try_recv();
+                            if matches!(frame, Ok(Some(_))) {
+                                idle = false;
+                            }
+                            match frame {
                                 Ok(Some(f)) => match f.kind {
                                     FrameKind::Progress => match decode_progress(&f.payload) {
-                                        Ok((epoch, delta)) => ledger.add(Timestamp(epoch), delta),
+                                        Ok((epoch, delta)) => {
+                                            ledger.add(Timestamp(epoch), delta);
+                                            progressed = true;
+                                        }
                                         Err(e) => panic!("shard {index} link: {e}"),
                                     },
                                     FrameKind::CtrlReply => {
@@ -2265,8 +2330,23 @@ impl ShardHandle {
                                 Err(e) => panic!("shard {index} link: {e}"),
                             }
                         }
+                        if progressed {
+                            // Every shard bridge's close waits on the
+                            // shared ledger: wake the siblings to
+                            // re-check theirs.
+                            bell.notify();
+                        }
                         if let Err(e) = link.maybe_resend() {
                             panic!("shard {index} link: {e}");
+                        }
+                        // 5. Nothing to do: park on the shard topic,
+                        //    which relayed shares, link readers,
+                        //    commands and ledger progress all ring,
+                        //    as long as an in-process shard would
+                        //    (the tick for close deadlines and
+                        //    resends).
+                        if idle {
+                            consumer.park_since(ticket, SHARD_PARK);
                         }
                     }
                     // Best-effort goodbye so the child exits cleanly
@@ -2385,7 +2465,9 @@ pub struct ShardedSystem {
     workers: Vec<WorkerHandle>,
     proxies: Vec<ProxyHandle>,
     shards: Vec<ShardHandle>,
-    queries: HashMap<QueryId, (Query, ExecutionParams)>,
+    /// Registered queries, shared by reference with every worker
+    /// command and the replay history.
+    queries: HashMap<QueryId, (Arc<Query>, ExecutionParams)>,
     initializer: Initializer,
     /// The shared event clock, advanced exactly like `System`'s.
     now_ms: u64,
@@ -2688,7 +2770,8 @@ impl ShardedSystem {
         self.repair();
         // Record before sending: a respawn triggered below registers
         // from this map, covering the in-flight registration.
-        self.queries.insert(query.id, (query.clone(), params));
+        let query = Arc::new(query);
+        self.queries.insert(query.id, (Arc::clone(&query), params));
         // Journal before the shard sends: a crash mid-registration
         // recovers the query (re-registration appends a fresh record;
         // the latest wins at replay).
@@ -2707,7 +2790,7 @@ impl ShardedSystem {
                 continue;
             }
             let _ = shard.cmd.send(ShardCmd::Register {
-                query: Box::new(query.clone()),
+                query: Arc::clone(&query),
                 params,
                 population: self.config.clients,
                 retain: self.retain_set.contains(&query.id),
@@ -2744,7 +2827,16 @@ impl ShardedSystem {
     /// [`ShardedSystem::drain_results`] buffer, and its client error —
     /// if any — is returned here).
     pub fn submit_epoch(&mut self, query: &Query) -> Result<(), CoreError> {
-        let (_, params) = *self.queries.get(&query.id).ok_or(CoreError::UnknownQuery)?;
+        let (registered, params) = self.queries.get(&query.id).ok_or(CoreError::UnknownQuery)?;
+        // Commands and the history share the registered copy. A
+        // caller's query that differs from it travels as its own copy
+        // and is verified by the workers exactly as before.
+        let query = if **registered == *query {
+            Arc::clone(registered)
+        } else {
+            Arc::new(query.clone())
+        };
+        let params = *params;
         let depth = self.config.pipeline_depth.max(1);
         let mut result = Ok(());
         while self.in_flight.len() >= depth {
@@ -2763,8 +2855,11 @@ impl ShardedSystem {
         // epoch whose shares escaped.
         let journal_mark = self.durable.as_ref().map_or(0, |d| d.wal.next_index());
         if self.durable.is_some() {
-            let rec =
-                persist::rec_submitted(ts, watermark, std::slice::from_ref(&(query.clone(), params)));
+            let rec = persist::rec_submitted(
+                ts,
+                watermark,
+                std::slice::from_ref(&(Arc::clone(&query), params)),
+            );
             self.journal(persist::K_SUBMITTED, rec)?;
             self.journal_sync()?;
         }
@@ -2774,7 +2869,7 @@ impl ShardedSystem {
                 continue;
             }
             let cmd = WorkerCmd::Answer {
-                query: query.clone(),
+                query: Arc::clone(&query),
                 params,
                 ts,
                 live: true,
@@ -2795,7 +2890,7 @@ impl ShardedSystem {
             }
             if self.respawn_worker(wi).is_ok() {
                 let resend = WorkerCmd::Answer {
-                    query: query.clone(),
+                    query: Arc::clone(&query),
                     params,
                     ts,
                     live: true,
@@ -2805,11 +2900,7 @@ impl ShardedSystem {
                 }
             }
         }
-        self.history.push(ReplayCmd::Answer {
-            query: query.clone(),
-            params,
-            ts,
-        });
+        self.history.push(ReplayCmd::Answer { query, params, ts });
         self.in_flight.push_back(InFlightEpoch {
             epoch: ts,
             watermark,
@@ -2995,7 +3086,7 @@ impl ShardedSystem {
             }
         }
         for (qid, next) in retunes {
-            let query = self.queries[&qid].0.clone();
+            let query = Query::clone(&self.queries[&qid].0);
             let r = self.register(query, next);
             if result.is_ok() {
                 result = r;
@@ -3018,7 +3109,7 @@ impl ShardedSystem {
         // worker command, so an exhausted query contributes nothing
         // to the epoch it was retired in.
         let schedule = std::mem::take(&mut self.admitted);
-        let mut batch: Vec<(Query, ExecutionParams)> = Vec::with_capacity(schedule.len());
+        let mut batch: Vec<(Arc<Query>, ExecutionParams)> = Vec::with_capacity(schedule.len());
         // Journal material gathered during the pass: each successful
         // debit's *absolute* post-charge state (idempotent at replay)
         // and each retirement. The charge records themselves are
@@ -3109,7 +3200,7 @@ impl ShardedSystem {
             while sent < batch.len() {
                 let (query, params) = &batch[sent];
                 let cmd = WorkerCmd::Answer {
-                    query: query.clone(),
+                    query: Arc::clone(query),
                     params: *params,
                     ts,
                     live: true,
@@ -3133,17 +3224,14 @@ impl ShardedSystem {
                 result = Ok(());
             }
         }
-        for (query, params) in &batch {
-            self.history.push(ReplayCmd::Answer {
-                query: query.clone(),
-                params: *params,
-                ts,
-            });
+        let cmds = batch.len();
+        for (query, params) in batch {
+            self.history.push(ReplayCmd::Answer { query, params, ts });
         }
         self.in_flight.push_back(InFlightEpoch {
             epoch: ts,
             watermark,
-            cmds: batch.len(),
+            cmds,
             journal_mark,
         });
         result
@@ -3187,7 +3275,7 @@ impl ShardedSystem {
         // Re-register with the retain flag; `register` flushes
         // in-flight epochs first, so retention starts at an epoch
         // boundary.
-        self.register(q, params)
+        self.register(Query::clone(&q), params)
     }
 
     /// Answers a historical/batch query over the retained stream:
@@ -3285,7 +3373,7 @@ impl ShardedSystem {
     /// control message is observed at wakeup latency (shards park on
     /// their first subscribed topic's condvar).
     fn wake_shards(&self) {
-        self.broker.notify_topic(&outbound_topic(ProxyId(0)));
+        self.broker.notify_topic(&shard_park_topic());
     }
 
     /// Completes the oldest in-flight epoch. `lenient` (drop path)
@@ -3848,7 +3936,7 @@ impl ShardedSystem {
                     continue;
                 }
                 let _ = w.cmd.send(WorkerCmd::Answer {
-                    query: query.clone(),
+                    query: Arc::clone(&query),
                     params,
                     ts,
                     live: false,
@@ -3886,12 +3974,12 @@ impl ShardedSystem {
     /// this epoch first went out, so the re-run produces the same
     /// shares the crash may or may not have let escape.
     fn resubmit_open_epoch(&mut self, ep: OpenEpoch) -> Result<(), CoreError> {
-        let mut batch: Vec<(Query, ExecutionParams)> = Vec::with_capacity(ep.entries.len());
+        let mut batch: Vec<(Arc<Query>, ExecutionParams)> = Vec::with_capacity(ep.entries.len());
         for (qid, params) in &ep.entries {
             let Some((query, _)) = self.queries.get(qid) else {
                 continue;
             };
-            batch.push((query.clone(), *params));
+            batch.push((Arc::clone(query), *params));
         }
         if batch.is_empty() {
             return Ok(());
@@ -3915,7 +4003,7 @@ impl ShardedSystem {
             while sent < batch.len() {
                 let (query, params) = &batch[sent];
                 let cmd = WorkerCmd::Answer {
-                    query: query.clone(),
+                    query: Arc::clone(query),
                     params: *params,
                     ts,
                     live: true,
@@ -3935,17 +4023,14 @@ impl ShardedSystem {
                 result = Ok(());
             }
         }
-        for (query, params) in &batch {
-            self.history.push(ReplayCmd::Answer {
-                query: query.clone(),
-                params: *params,
-                ts,
-            });
+        let cmds = batch.len();
+        for (query, params) in batch {
+            self.history.push(ReplayCmd::Answer { query, params, ts });
         }
         self.in_flight.push_back(InFlightEpoch {
             epoch: ts,
             watermark,
-            cmds: batch.len(),
+            cmds,
             journal_mark,
         });
         result
@@ -4038,7 +4123,7 @@ impl ShardedSystem {
             .values()
             .map(|(q, p)| {
                 (
-                    q,
+                    &**q,
                     *p,
                     self.retain_set.contains(&q.id),
                     self.ledgers.get(&q.id),
@@ -4234,7 +4319,7 @@ impl ShardedSystem {
                     WorkerCmd::Load(load.clone())
                 }
                 ReplayCmd::Answer { query, params, ts } => WorkerCmd::Answer {
-                    query: query.clone(),
+                    query: Arc::clone(query),
                     params: *params,
                     ts: *ts,
                     live: false,
@@ -4344,6 +4429,7 @@ impl ShardedSystem {
                     faults,
                     stats,
                     link_seed(self.config.seed, "shard-respawn", s),
+                    ring_topic(&self.broker, &shard_park_topic()),
                 );
                 if let Some(after) = self.config.link_resend_after {
                     link.set_resend_after(after);
@@ -4358,12 +4444,13 @@ impl ShardedSystem {
                     ledger: Arc::clone(&self.ledger),
                     crashes: Arc::clone(&self.crashes),
                     heartbeat: self.watchdog.register(&format!("shard-{s}")),
+                    bell: self.broker.writer(&shard_park_topic()),
                 })
             }
         };
         for (query, params) in self.queries.values() {
             let _ = handle.cmd.send(ShardCmd::Register {
-                query: Box::new(query.clone()),
+                query: Arc::clone(query),
                 params: *params,
                 population: self.config.clients,
                 // The dead shard's retained store died with it;
@@ -4446,6 +4533,7 @@ impl ShardedSystem {
                     faults,
                     stats,
                     link_seed(self.config.seed, "proxy-respawn", i),
+                    ring_topic(&self.broker, &inbound_topic(ProxyId(i as u16))),
                 );
                 if let Some(after) = self.config.link_resend_after {
                     link.set_resend_after(after);

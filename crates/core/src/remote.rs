@@ -42,8 +42,8 @@ use privapprox_cluster::frontdoor::shake_hands;
 use privapprox_cluster::wire::{encode_ack, encode_progress, Channel};
 use privapprox_cluster::{
     decode_data_batch, encode_data_batch, AdmissionPolicy, BackoffPolicy, DataMsg, FaultPlan,
-    FaultyTransport, Frame, FrameKind, FrontDoor, Hello, LinkStats, Reassembly, RejectReason,
-    SupervisedLink, TcpTransport, TokenBucket, Transport,
+    FaultyTransport, Frame, FrameKind, FrontDoor, Hello, LinkStats, ReaderHandoff, Reassembly,
+    RejectReason, SupervisedLink, TcpTransport, TokenBucket, Transport, Wake,
 };
 use privapprox_rr::estimate::BucketEstimator;
 use privapprox_stream::broker::{Broker, Consumer, Record, TopicWriter};
@@ -59,9 +59,10 @@ use crate::proxy::{inbound_topic, outbound_topic, Proxy};
 
 /// How long a dial waits for the TCP connect to a child node.
 pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_millis(1_000);
-/// Read poll used on both ends: doubles as the idle park, so it stays
-/// close to the in-process shard park (10 ms).
-pub(crate) const LINK_READ_POLL: Duration = Duration::from_millis(5);
+/// How long an idle child node parks in its socket read. A node has
+/// no timers: frames are its only work, and parent death is caught by
+/// the stdin watch, so the park is a backstop, not a tick.
+const NODE_IDLE_PARK: Duration = Duration::from_secs(1);
 /// Hello/HelloAck round-trip budget.
 pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_millis(2_000);
 /// Records packed into one data frame (one sequence number, one ack).
@@ -462,29 +463,39 @@ pub(crate) fn spawn_node(node: &Path, args: &[String]) -> io::Result<NodeChild> 
 /// Builds the supervised, optionally fault-injected link to a child
 /// node. Each (re)dial performs the front-door handshake; admission
 /// rejection surfaces as `ConnectionRefused` and burns a retry.
+///
+/// Every connection reads on its own [`ReaderHandoff`] thread, which
+/// calls `wake` whenever frames land: the owning bridge parks on its
+/// broker condvar, and `wake` rings it. Faults shape the frames sent
+/// after the handshake.
 pub(crate) fn node_link(
     addr: SocketAddr,
     index: u32,
     faults: FaultPlan,
     stats: Arc<LinkStats>,
     seed: u64,
+    wake: Wake,
 ) -> SupervisedLink {
     let dial = Box::new(move || -> io::Result<Box<dyn Transport>> {
-        let tcp = TcpTransport::connect(addr, CONNECT_TIMEOUT, LINK_READ_POLL)?;
-        let mut t: Box<dyn Transport> = if faults.is_clean() {
-            Box::new(tcp)
-        } else {
-            Box::new(FaultyTransport::new(tcp, faults))
-        };
+        let mut tcp = TcpTransport::connect(addr, CONNECT_TIMEOUT, HANDSHAKE_TIMEOUT)?;
+        // Shake hands on the reading handle: anything it buffered
+        // past the `HelloAck` is the reader thread's to parse.
         shake_hands(
-            t.as_mut(),
+            &mut tcp,
             Hello {
                 channel: Channel::Data,
                 index,
             },
             HANDSHAKE_TIMEOUT,
         )?;
-        Ok(t)
+        let writer = tcp.try_clone()?;
+        let writer: Box<dyn Transport> = if faults.is_clean() {
+            Box::new(writer)
+        } else {
+            Box::new(FaultyTransport::new(writer, faults))
+        };
+        let handoff = ReaderHandoff::spawn(tcp, writer, Arc::clone(&wake))?;
+        Ok(Box::new(handoff))
     });
     SupervisedLink::new(dial, BackoffPolicy::default(), stats, seed)
 }
@@ -622,7 +633,7 @@ where
             // peer's problem; keep the door open.
             Err(_) => continue,
         };
-        admitted.transport.set_read_timeout(LINK_READ_POLL)?;
+        admitted.transport.set_read_timeout(NODE_IDLE_PARK)?;
         let max_in_flight = admitted.max_in_flight;
         match serve(
             &mut admitted.transport,
@@ -722,10 +733,13 @@ impl ProxyNode {
         let id = ProxyId(opts.index as u16);
         let broker = Broker::new(opts.partitions);
         let inbound = inbound_topic(id);
-        broker.create_topic(&inbound, opts.partitions);
+        let out_name = outbound_topic(id);
+        // This thread both produces and consumes both topics, so they
+        // trim what it has consumed instead of parking it.
+        broker.create_topic_trimmed(&inbound, opts.partitions);
+        broker.create_topic_trimmed(&out_name, opts.partitions);
         let proxy = Proxy::new(id, &broker);
         let in_writer = broker.writer(&inbound);
-        let out_name = outbound_topic(id);
         let egress = broker.consumer("node-egress", &[&out_name]);
         ProxyNode {
             _broker: broker,
@@ -759,34 +773,35 @@ impl ProxyNode {
         loop {
             let mut wrote = false;
             let mut shutdown = false;
-            // 1. Drain the socket (the read poll is the idle park).
-            loop {
-                match t.recv()? {
-                    Some(f) => match f.kind {
-                        FrameKind::Data => {
-                            let mut msgs = Vec::new();
-                            decode_data_batch(&f.payload, &mut msgs)?;
-                            let seq = msgs[0].seq;
-                            if admit_data(
-                                t,
-                                bucket,
-                                max_in_flight,
-                                seq,
-                                self.reasm.ack_floor(),
-                                msgs.len(),
-                                &mut wrote,
-                            )? {
-                                self.reasm.accept(seq, msgs, &mut self.deliverable);
-                            }
+            // 1. Handle every frame that has arrived. Only the first
+            //    receive may park, and only while nothing has
+            //    arrived.
+            let mut next = t.recv()?;
+            while let Some(f) = next {
+                match f.kind {
+                    FrameKind::Data => {
+                        let mut msgs = Vec::new();
+                        decode_data_batch(&f.payload, &mut msgs)?;
+                        let seq = msgs[0].seq;
+                        if admit_data(
+                            t,
+                            bucket,
+                            max_in_flight,
+                            seq,
+                            self.reasm.ack_floor(),
+                            msgs.len(),
+                            &mut wrote,
+                        )? {
+                            self.reasm.accept(seq, msgs, &mut self.deliverable);
                         }
-                        FrameKind::Shutdown => {
-                            shutdown = true;
-                            break;
-                        }
-                        _ => {}
-                    },
-                    None => break,
+                    }
+                    FrameKind::Shutdown => {
+                        shutdown = true;
+                        break;
+                    }
+                    _ => {}
                 }
+                next = t.try_recv()?;
             }
             // 2. Feed reassembled shares into the local inbound topic.
             if !self.deliverable.is_empty() {
@@ -863,7 +878,7 @@ impl ShardNode {
             .map(|p| outbound_topic(ProxyId(p as u16)))
             .collect();
         for n in &names {
-            broker.create_topic(n, opts.partitions);
+            broker.create_topic_trimmed(n, opts.partitions);
         }
         broker.create_topic_drop_oldest(DEAD_LETTER_TOPIC, opts.partitions, NODE_DEAD_LETTER_CAP);
         let mut agg = Aggregator::new(&broker, opts.proxies, opts.confidence);
@@ -978,34 +993,34 @@ impl ShardNode {
         loop {
             let mut wrote = false;
             let mut shutdown = false;
-            loop {
-                match t.recv()? {
-                    Some(f) => match f.kind {
-                        FrameKind::Data => {
-                            let mut msgs = Vec::new();
-                            decode_data_batch(&f.payload, &mut msgs)?;
-                            let seq = msgs[0].seq;
-                            if admit_data(
-                                t,
-                                bucket,
-                                max_in_flight,
-                                seq,
-                                self.reasm.ack_floor(),
-                                msgs.len(),
-                                &mut wrote,
-                            )? {
-                                self.reasm.accept(seq, msgs, &mut self.deliverable);
-                            }
+            // Same drain as the proxy node: park only while idle.
+            let mut next = t.recv()?;
+            while let Some(f) = next {
+                match f.kind {
+                    FrameKind::Data => {
+                        let mut msgs = Vec::new();
+                        decode_data_batch(&f.payload, &mut msgs)?;
+                        let seq = msgs[0].seq;
+                        if admit_data(
+                            t,
+                            bucket,
+                            max_in_flight,
+                            seq,
+                            self.reasm.ack_floor(),
+                            msgs.len(),
+                            &mut wrote,
+                        )? {
+                            self.reasm.accept(seq, msgs, &mut self.deliverable);
                         }
-                        FrameKind::Ctrl => self.on_ctrl(&f.payload, t, &mut wrote)?,
-                        FrameKind::Shutdown => {
-                            shutdown = true;
-                            break;
-                        }
-                        _ => {}
-                    },
-                    None => break,
+                    }
+                    FrameKind::Ctrl => self.on_ctrl(&f.payload, t, &mut wrote)?,
+                    FrameKind::Shutdown => {
+                        shutdown = true;
+                        break;
+                    }
+                    _ => {}
                 }
+                next = t.try_recv()?;
             }
             if !self.deliverable.is_empty() {
                 for batch in self.deliverable.drain(..) {
@@ -1045,7 +1060,200 @@ impl ShardNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use privapprox_types::{AnalystId, QueryBuilder};
+    use crate::client::Client;
+    use privapprox_cluster::wire::decode_progress;
+    use privapprox_cluster::ChannelTransport;
+    use privapprox_crypto::xor::wire_key;
+    use privapprox_sql::{ColumnType, Schema};
+    use privapprox_types::{AnalystId, ClientId, QueryBuilder};
+    use std::thread::JoinHandle;
+
+    /// Far longer than any hop may take: a node that waited for its
+    /// idle park before acting would blow the 500 ms assertions.
+    const IDLE_PARK: Duration = Duration::from_secs(2);
+    const HOP_LIMIT: Duration = Duration::from_millis(500);
+
+    fn node_opts(role: NodeRole) -> NodeOpts {
+        NodeOpts {
+            role,
+            index: 0,
+            partitions: 2,
+            proxies: 2,
+            confidence: 0.95,
+            fuse: None,
+        }
+    }
+
+    /// Runs a node's `serve` on its own thread over one end of a
+    /// channel pair whose idle park is [`IDLE_PARK`]; returns the
+    /// parent's end and the thread, which hands the node back after
+    /// `Shutdown`.
+    fn serve_on_thread<N: Send + 'static>(
+        mut node: N,
+        serve: fn(&mut N, &mut dyn Transport, &mut TokenBucket, usize) -> io::Result<bool>,
+    ) -> (ChannelTransport, JoinHandle<N>) {
+        let (mut parent, mut child) = ChannelTransport::pair(1024);
+        child.set_read_timeout(IDLE_PARK).unwrap();
+        parent.set_read_timeout(Duration::from_secs(10)).unwrap();
+        let join = thread::spawn(move || {
+            let mut bucket = TokenBucket::unlimited();
+            let done = serve(&mut node, &mut child, &mut bucket, 1 << 20);
+            assert!(done.unwrap(), "serve must end on Shutdown");
+            node
+        });
+        (parent, join)
+    }
+
+    /// Receives frames until one of `kind` arrives; returns it and the
+    /// time it took.
+    fn expect_kind(parent: &mut ChannelTransport, kind: FrameKind) -> (Frame, Duration) {
+        let t0 = Instant::now();
+        loop {
+            let f = parent.recv().unwrap().expect("node went quiet");
+            if f.kind == kind {
+                return (f, t0.elapsed());
+            }
+        }
+    }
+
+    fn data_frame(msgs: &[DataMsg]) -> Frame {
+        Frame::new(FrameKind::Data, encode_data_batch(msgs))
+    }
+
+    #[test]
+    fn proxy_node_relays_on_arrival_and_trims_its_topics() {
+        let node = ProxyNode::new(&node_opts(NodeRole::Proxy));
+        let (mut parent, join) = serve_on_thread(node, ProxyNode::serve);
+        for seq in 1..=200u64 {
+            let msgs: Vec<DataMsg> = (0..16u8)
+                .map(|i| DataMsg {
+                    seq,
+                    stream: 0,
+                    partition: (i % 2) as u32,
+                    timestamp: 500,
+                    key: Some(Arc::from(vec![i; 16])),
+                    value: Arc::from(vec![seq as u8; 64]),
+                })
+                .collect();
+            parent.send(&data_frame(&msgs)).unwrap();
+            let t0 = Instant::now();
+            let mut relayed = Vec::new();
+            while relayed.len() < msgs.len() {
+                let (f, _) = expect_kind(&mut parent, FrameKind::Data);
+                decode_data_batch(&f.payload, &mut relayed).unwrap();
+            }
+            assert!(
+                t0.elapsed() < HOP_LIMIT,
+                "batch {seq} relayed after {:?}",
+                t0.elapsed()
+            );
+            assert!(relayed.iter().all(|m| m.value[0] == seq as u8));
+        }
+        parent.send(&Frame::bare(FrameKind::Shutdown)).unwrap();
+        let node = join.join().unwrap();
+        // 3200 shares went through; the node's own consumers took
+        // every one, so neither local topic retains any.
+        assert_eq!(node._broker.topic_len(&inbound_topic(ProxyId(0))), 0);
+        assert_eq!(node._broker.topic_len(&outbound_topic(ProxyId(0))), 0);
+    }
+
+    #[test]
+    fn shard_node_reports_progress_and_replies_on_arrival() {
+        const KEY: u64 = 0xBEE;
+        const CLIENTS: u64 = 40;
+        let query = QueryBuilder::new(QueryId::new(AnalystId(9), 1), "SELECT v FROM data")
+            .answer(AnswerSpec::ranges_with_overflow(0.0, 10.0, 10))
+            .window(1_000, 1_000)
+            .sign_and_build(KEY);
+        let params = ExecutionParams::checked(1.0, 1.0, 0.5);
+        let node = ShardNode::new(&node_opts(NodeRole::Shard));
+        let (mut parent, join) = serve_on_thread(node, ShardNode::serve);
+
+        parent
+            .send(&Frame::new(
+                FrameKind::Ctrl,
+                encode_register(&query, params, CLIENTS),
+            ))
+            .unwrap();
+        let (reply, took) = expect_kind(&mut parent, FrameKind::CtrlReply);
+        assert!(matches!(
+            decode_reply(&reply.payload).unwrap(),
+            NodeReply::Registered
+        ));
+        assert!(took < HOP_LIMIT, "register answered after {took:?}");
+
+        // Both shares of every answer, in one batch.
+        let mut msgs = Vec::new();
+        for i in 0..CLIENTS {
+            let mut client = Client::new(ClientId(i), 1_000 + i, KEY);
+            client
+                .db_mut()
+                .create_table("data", Schema::new(vec![("v", ColumnType::Float)]));
+            client
+                .db_mut()
+                .insert("data", vec![privapprox_sql::Value::Float((i % 10) as f64)])
+                .unwrap();
+            let answer = client.answer_query(&query, &params, 2).unwrap().unwrap();
+            for (stream, share) in answer.shares.iter().enumerate() {
+                msgs.push(DataMsg {
+                    seq: 1,
+                    stream: stream as u8,
+                    partition: (i % 2) as u32,
+                    timestamp: 500,
+                    key: Some(Arc::from(&wire_key(query.id, share.mid)[..])),
+                    value: Arc::clone(&share.payload),
+                });
+            }
+        }
+        parent.send(&data_frame(&msgs)).unwrap();
+        let t0 = Instant::now();
+        let mut decoded = 0;
+        while decoded < CLIENTS {
+            let (f, _) = expect_kind(&mut parent, FrameKind::Progress);
+            let (epoch, delta) = decode_progress(&f.payload).unwrap();
+            assert_eq!(epoch, 500);
+            decoded += delta;
+        }
+        assert!(
+            t0.elapsed() < HOP_LIMIT,
+            "progress reported after {:?}",
+            t0.elapsed()
+        );
+
+        parent
+            .send(&Frame::new(FrameKind::Ctrl, encode_probe()))
+            .unwrap();
+        let (reply, took) = expect_kind(&mut parent, FrameKind::CtrlReply);
+        assert!(matches!(
+            decode_reply(&reply.payload).unwrap(),
+            NodeReply::Health { .. }
+        ));
+        assert!(took < HOP_LIMIT, "probe answered after {took:?}");
+
+        parent
+            .send(&Frame::new(FrameKind::Ctrl, encode_finish(500, 1_000)))
+            .unwrap();
+        let (reply, took) = expect_kind(&mut parent, FrameKind::CtrlReply);
+        match decode_reply(&reply.payload).unwrap() {
+            NodeReply::Closed {
+                epoch,
+                decoded,
+                windows,
+                ..
+            } => {
+                assert_eq!((epoch, decoded), (500, CLIENTS));
+                assert_eq!(windows.len(), 1);
+            }
+            _ => panic!("wrong reply"),
+        }
+        assert!(took < HOP_LIMIT, "finish answered after {took:?}");
+
+        parent.send(&Frame::bare(FrameKind::Shutdown)).unwrap();
+        let node = join.join().unwrap();
+        for p in 0..2 {
+            assert_eq!(node._broker.topic_len(&outbound_topic(ProxyId(p))), 0);
+        }
+    }
 
     fn sample_query() -> Query {
         QueryBuilder::new(QueryId::new(AnalystId(3), 7), "SELECT speed FROM cars")

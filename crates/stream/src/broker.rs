@@ -142,13 +142,13 @@ impl Record {
 
 #[derive(Debug, Default)]
 struct Partition {
-    /// Retained records; the front holds offset `base`. Bounded
-    /// topics **trim**: records below every registered group's
+    /// Retained records; the front holds offset `base`. Bounded and
+    /// trimmed topics **trim**: records below every registered group's
     /// committed floor pop off the front, so consumed payloads drop
     /// their last log reference and the allocator recycles warm pages
     /// instead of faulting fresh ones for every message (an unbounded
     /// log costs ~3× per append in page faults alone at 1.3 KB
-    /// payloads). Unbounded topics retain everything, preserving
+    /// payloads). Other unbounded topics retain everything, preserving
     /// read-from-zero semantics for late-joining groups.
     records: VecDeque<Record>,
     /// Offset of the record at the front of `records`.
@@ -156,7 +156,7 @@ struct Partition {
     /// Per-group committed offsets, mirrored here from the global
     /// offset map so a bounded producer can compute its backlog — and
     /// the trim point — with only the partition lock held. Maintained
-    /// only for topics with a capacity limit (empty map = no
+    /// only for topics that trim (empty map = no
     /// registered consumer yet = no backpressure, no trimming).
     committed: HashMap<String, u64>,
 }
@@ -169,8 +169,10 @@ struct Topic {
     data_ready: Condvar,
     /// Signalled whenever a bounded topic's consumer frees backlog.
     space_ready: Condvar,
-    /// Paired mutex for both condvars (condvar protocol only).
-    signal: Mutex<()>,
+    /// Paired mutex for both condvars. It guards the count of
+    /// `data_ready` rings, so a parked consumer can tell whether it
+    /// was rung after it last looked (see [`Consumer::park_since`]).
+    signal: Mutex<u64>,
     round_robin: AtomicU64,
     /// Maximum per-partition backlog (appended − slowest group's
     /// committed offset) before producers block; `0` = unbounded.
@@ -184,6 +186,10 @@ struct Topic {
     drop_oldest: bool,
     /// Records evicted by the `drop_oldest` policy.
     dropped: AtomicU64,
+    /// Records every registered group has consumed drop off the log.
+    /// Set for every bounded topic and for topics made with
+    /// [`Broker::create_topic_trimmed`].
+    trims: bool,
 }
 
 impl Topic {
@@ -193,18 +199,26 @@ impl Topic {
 
     fn with_policy(name: &str, partitions: usize, capacity: usize, drop_oldest: bool) -> Topic {
         Topic {
+            trims: capacity > 0,
             name: name.to_string(),
             partitions: (0..partitions)
                 .map(|_| Mutex::new(Partition::default()))
                 .collect(),
             data_ready: Condvar::new(),
             space_ready: Condvar::new(),
-            signal: Mutex::new(()),
+            signal: Mutex::new(0),
             round_robin: AtomicU64::new(0),
             capacity,
             drop_oldest,
             dropped: AtomicU64::new(0),
         }
+    }
+
+    /// Wakes every consumer parked on this topic and counts the ring.
+    fn ring_data(&self) {
+        let mut rings = self.signal.lock();
+        *rings += 1;
+        self.data_ready.notify_all();
     }
 }
 
@@ -342,6 +356,23 @@ impl Broker {
             .or_insert_with(|| Arc::new(Topic::with_policy(name, partitions, capacity, true)));
     }
 
+    /// Creates an unbounded topic that **trims**: records every
+    /// registered consumer group has consumed drop off the log, as on
+    /// a bounded topic, but producers never park. This suits a topic
+    /// whose producer and consumer are the same thread, where a
+    /// backpressure park could never be released. Trimming starts
+    /// once a group registers; a group joining later reads from the
+    /// earliest retained record. A no-op if the topic already exists.
+    pub fn create_topic_trimmed(&self, name: &str, partitions: usize) {
+        assert!(partitions > 0, "topics need at least 1 partition");
+        let mut topics = self.inner.topics.write();
+        topics.entry(name.to_string()).or_insert_with(|| {
+            let mut topic = Topic::new(name, partitions, 0);
+            topic.trims = true;
+            Arc::new(topic)
+        });
+    }
+
     /// Records evicted from `name` by the drop-oldest policy so far
     /// (0 for unknown or backpressure-bounded topics).
     pub fn topic_dropped(&self, name: &str) -> u64 {
@@ -387,9 +418,7 @@ impl Broker {
     /// that is parked in a blocking poll) to bound command latency to
     /// a wakeup instead of a poll timeout.
     pub fn notify_topic(&self, topic: &str) {
-        let t = self.topic(topic);
-        let _guard = t.signal.lock();
-        t.data_ready.notify_all();
+        self.topic(topic).ring_data();
     }
 
     /// Number of partitions of a topic (auto-creating it if absent).
@@ -440,7 +469,7 @@ impl Broker {
         // for a fresh group).
         for t in topics {
             let topic = self.topic(t);
-            if topic.capacity > 0 {
+            if topic.trims {
                 let offsets = self.inner.group_offsets.lock();
                 for (pi, p) in topic.partitions.iter().enumerate() {
                     let committed = offsets
@@ -724,8 +753,7 @@ fn append(
     if notify || waited {
         // Wake blocked consumers (always after a backpressure wait:
         // the record the consumer is parked for may be this one).
-        let _guard = t.signal.lock();
-        t.data_ready.notify_all();
+        t.ring_data();
     }
     Ok(offset)
 }
@@ -837,8 +865,7 @@ fn append_batch(
         .fetch_add(n, Ordering::Relaxed);
     broker.inner.stats.bytes_in.fetch_add(size, Ordering::Relaxed);
     if notify || waited {
-        let _guard = t.signal.lock();
-        t.data_ready.notify_all();
+        t.ring_data();
     }
     Ok(first)
 }
@@ -1004,8 +1031,7 @@ impl TopicWriter {
     /// Wakes consumers parked on this topic — the batch-end pair of
     /// [`TopicWriter::append_quiet`].
     pub fn notify(&self) {
-        let _guard = self.topic.signal.lock();
-        self.topic.data_ready.notify_all();
+        self.topic.ring_data();
     }
 
     /// Number of partitions of the bound topic.
@@ -1154,9 +1180,10 @@ impl Consumer {
                 out.push((slot.topic_idx, slot.partition, rec.clone()));
             }
             let advanced = read_from + take as u64;
-            if slot.topic.capacity > 0 {
-                // Mirror the committed floor for bounded producers and
-                // remember to wake any of them parked on this topic.
+            if slot.topic.trims {
+                // Mirror the committed floor (the trim point, and a
+                // bounded producer's backlog floor) and remember to
+                // wake any producer parked on this topic.
                 // In-place on the warm path: the floor entry exists
                 // from consumer registration.
                 match p.committed.get_mut(&self.group) {
@@ -1272,6 +1299,28 @@ impl Consumer {
         }
     }
 
+    /// The ring count of the topic this consumer parks on (its first
+    /// subscription). Take it *before* checking for work; hand it to
+    /// [`Consumer::park_since`] if there was none.
+    pub fn wake_ticket(&self) -> u64 {
+        *self.broker.topic(&self.topics[0]).signal.lock()
+    }
+
+    /// Parks up to `timeout` on the first subscribed topic's condvar,
+    /// returning at once if that topic was rung (by a producer's
+    /// notify or [`Broker::notify_topic`]) since `ticket` was taken —
+    /// so a ring that lands between the caller's last look for work
+    /// and the park is never lost. Lets a thread with several sources
+    /// of work (records, a socket, a command channel) park on one
+    /// condvar that each source rings.
+    pub fn park_since(&self, ticket: u64, timeout: Duration) {
+        let topic = self.broker.topic(&self.topics[0]);
+        let mut rings = topic.signal.lock();
+        if *rings == ticket {
+            topic.data_ready.wait_for(&mut rings, timeout);
+        }
+    }
+
     /// Blocking poll: waits up to `timeout` for at least one record,
     /// reporting source partitions.
     pub fn poll_blocking_partitioned(
@@ -1340,7 +1389,7 @@ impl Drop for Consumer {
         };
         for topic_name in &self.topics {
             let topic = self.broker.topic(topic_name);
-            if group_emptied && topic.capacity > 0 {
+            if group_emptied && topic.trims {
                 let mut freed = false;
                 for p in &topic.partitions {
                     freed |= p.lock().committed.remove(&self.group).is_some();
@@ -1352,8 +1401,7 @@ impl Drop for Consumer {
                     topic.space_ready.notify_all();
                 }
             }
-            let _guard = topic.signal.lock();
-            topic.data_ready.notify_all();
+            topic.ring_data();
         }
     }
 }
@@ -1403,6 +1451,76 @@ mod tests {
         // Consumed records trim off like any bounded topic's; the
         // retained count never exceeds the ring capacity.
         assert!(broker.topic_len("quarantine") <= 3);
+    }
+
+    #[test]
+    fn trimmed_topic_drops_consumed_records_without_parking() {
+        let broker = Broker::new(2);
+        broker.create_topic_trimmed("local", 2);
+        let w = broker.writer("local");
+        // No group yet: nothing trims, and nothing parks either.
+        for i in 0..10u8 {
+            w.send_to((i % 2) as usize, None, vec![i], ts(i as u64));
+        }
+        assert_eq!(broker.topic_len("local"), 10);
+        // One thread produces and consumes: every poll trims what it
+        // consumed, so the log never outgrows one round.
+        let c = broker.consumer("node", &["local"]);
+        let mut out = Vec::new();
+        assert_eq!(c.poll_into(100, &mut out), 10);
+        assert_eq!(broker.topic_len("local"), 0);
+        for round in 0..100u64 {
+            for i in 0..50u64 {
+                w.append_quiet((i % 2) as usize, None, vec![1u8], ts(round));
+            }
+            out.clear();
+            assert_eq!(c.poll_into(1_000, &mut out), 50);
+            assert_eq!(broker.topic_len("local"), 0, "round {round}");
+        }
+        // A second group holds the floor down until it reads too.
+        let late = broker.consumer("audit", &["local"]);
+        w.send_to(0, None, vec![9], ts(1));
+        out.clear();
+        c.poll_into(10, &mut out);
+        assert_eq!(broker.topic_len("local"), 1);
+        out.clear();
+        assert_eq!(late.poll_into(10, &mut out), 1);
+        assert_eq!(broker.topic_len("local"), 0);
+    }
+
+    #[test]
+    fn park_since_never_misses_a_ring() {
+        let broker = Broker::new(1);
+        let c = broker.consumer("g", &["t"]);
+        // A ring between taking the ticket and parking ends the park
+        // at once.
+        let ticket = c.wake_ticket();
+        broker.notify_topic("t");
+        let t0 = std::time::Instant::now();
+        c.park_since(ticket, Duration::from_secs(2));
+        assert!(t0.elapsed() < Duration::from_millis(500));
+        // A producer's notify rings too.
+        let ticket = c.wake_ticket();
+        broker.writer("t").send_to(0, None, vec![1], ts(1));
+        let t0 = std::time::Instant::now();
+        c.park_since(ticket, Duration::from_secs(2));
+        assert!(t0.elapsed() < Duration::from_millis(500));
+        // With no ring the park lasts its timeout.
+        let ticket = c.wake_ticket();
+        let t0 = std::time::Instant::now();
+        c.park_since(ticket, Duration::from_millis(20));
+        assert!(t0.elapsed() >= Duration::from_millis(15));
+        // A ring from another thread ends a park in progress.
+        let ticket = c.wake_ticket();
+        let ringer = broker.clone();
+        let join = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(50));
+            ringer.notify_topic("t");
+        });
+        let t0 = std::time::Instant::now();
+        c.park_since(ticket, Duration::from_secs(5));
+        assert!(t0.elapsed() < Duration::from_secs(2));
+        join.join().unwrap();
     }
 
     #[test]
